@@ -22,6 +22,8 @@ fn rec(src: usize, region: u32, tag: u8) -> PutRecord {
         src,
         region,
         depart_time: 0.0,
+        seq: 0,
+        lamport: 0,
         payload: vec![tag],
     }
 }

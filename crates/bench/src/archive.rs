@@ -69,7 +69,7 @@ pub struct ArchiveRecord {
     /// Unix seconds when the record was written.
     pub t_unix: u64,
     /// Per-phase wall seconds, keyed `config/leaf` (e.g.
-    /// `parallel+fused+batched/md.pair`); each value is the min over
+    /// `production/md.pair`); each value is the min over
     /// the run's repeats.
     pub phases: BTreeMap<String, f64>,
     /// Per-configuration throughput rows (the bench gate's metric).
@@ -1157,8 +1157,8 @@ mod tests {
         // Exactly what a live run at the committed size would key on.
         let live = mdstep_config(8, 20, 1, "Compacted");
         assert_eq!(rec.config_hash, live.hash().unwrap());
-        assert_eq!(rec.configs.len(), 6);
-        assert!(rec.phases.contains_key("parallel+fused+batched/pair"));
+        assert_eq!(rec.configs.len(), 2);
+        assert!(rec.phases.contains_key("production/pair"));
         assert!(rec.total_wall_s() > 0.0);
 
         let ktext = std::fs::read_to_string(concat!(

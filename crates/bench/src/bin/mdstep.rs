@@ -1,25 +1,14 @@
 //! `mdstep` — the persistent MD hot-path benchmark.
 //!
 //! Times full velocity-Verlet steps (both EAM passes + ghost exchange)
-//! under the six host execution strategies of
-//! [`mmds_md::force::PassConfig`]:
+//! under the two host EAM paths of [`mmds_md::force::PassConfig`]:
 //!
-//! * `serial`                 — the seed path: one thread, separate
-//!   pair and density lookups (two segment locates per partner);
-//! * `serial+fused`           — one thread, fused single-locate
-//!   [`mmds_eam::EamPotential::pair_density`] lookups;
-//! * `serial+fused+batched`   — one thread, SoA gather + lane-batched
-//!   table kernels;
-//! * `parallel`               — chunked multi-thread sweeps, separate
-//!   lookups;
-//! * `parallel+fused`         — chunked multi-thread sweeps, fused
-//!   lookups;
-//! * `parallel+fused+batched` — the default production path.
+//! * `oracle`     — the seed scalar sweeps: one thread, separate pair
+//!   and density lookups, one neighbour traversal per pass;
+//! * `production` — the parallel gather plan (the default).
 //!
-//! All six configurations produce bitwise-identical trajectories (see
-//! the determinism tests in `mmds-md`), so the comparison is work-fair
-//! by construction. The headline `speedup_parallel_fused_vs_serial` is
-//! measured with the batched kernel enabled (the production default).
+//! Both produce bitwise-identical trajectories (see the determinism
+//! tests in `mmds-md`), so the comparison is work-fair by construction.
 //! Writes `BENCH_mdstep.json` into the current directory — committed
 //! at the repo root as the persistent baseline — with per-phase times
 //! from `mmds-telemetry` spans.
@@ -56,11 +45,10 @@ struct PhaseSeconds {
 struct ConfigResult {
     name: &'static str,
     parallel: bool,
-    fused: bool,
-    batched: bool,
+    oracle: bool,
     wall_s: f64,
     atoms_steps_per_sec: f64,
-    speedup_vs_serial: f64,
+    speedup_vs_oracle: f64,
     phase_s: PhaseSeconds,
 }
 
@@ -75,9 +63,7 @@ struct MdstepReport {
     host_cores: usize,
     table_form: String,
     configs: Vec<ConfigResult>,
-    speedup_fused_vs_serial: f64,
-    speedup_batched_vs_parallel_fused: f64,
-    speedup_parallel_fused_vs_serial: f64,
+    speedup_production_vs_oracle: f64,
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -164,7 +150,7 @@ fn main() {
     let steps = env_usize("MMDS_MDSTEP_STEPS", if smoke { 3 } else { 20 });
     let repeats = env_usize("MMDS_MDSTEP_REPEATS", if smoke { 1 } else { 3 });
     let warmup = if smoke { 1 } else { 3 };
-    header("mdstep: MD hot-path baseline (serial/parallel × separate/fused × batched kernels)");
+    header("mdstep: MD hot-path baseline (oracle vs production gather plan)");
     // Summary mode records spans without a JSONL sink; per-config
     // resets isolate each configuration's phase totals. An explicit
     // MMDS_TELEMETRY (e.g. jsonl: for the CI trace artefact) wins.
@@ -178,83 +164,32 @@ fn main() {
         .unwrap_or(1);
     let host_threads = env_usize("RAYON_NUM_THREADS", host_cores);
 
-    let matrix: [(&'static str, PassConfig); 6] = [
-        ("serial", PassConfig::seed_serial()),
-        (
-            "serial+fused",
-            PassConfig {
-                parallel: false,
-                fused: true,
-                batched: false,
-            },
-        ),
-        (
-            "serial+fused+batched",
-            PassConfig {
-                parallel: false,
-                fused: true,
-                batched: true,
-            },
-        ),
-        (
-            "parallel",
-            PassConfig {
-                parallel: true,
-                fused: false,
-                batched: false,
-            },
-        ),
-        (
-            "parallel+fused",
-            PassConfig {
-                parallel: true,
-                fused: true,
-                batched: false,
-            },
-        ),
-        ("parallel+fused+batched", PassConfig::default()),
+    let paths = [
+        ("oracle", PassConfig::seed_serial()),
+        ("production", PassConfig::default()),
     ];
-
     let mut configs = Vec::new();
-    let mut serial_wall = 0.0;
+    let mut oracle_wall = 0.0;
     let mut atoms = 0;
-    for (name, pc) in matrix {
+    for (name, pc) in paths {
         let (wall, n, phases) = run_config(name, pc, cells, warmup, steps, repeats);
         atoms = n;
-        if name == "serial" {
-            serial_wall = wall;
+        if pc.oracle {
+            oracle_wall = wall;
         }
         configs.push(ConfigResult {
             name,
             parallel: pc.parallel,
-            fused: pc.fused,
-            batched: pc.batched,
+            oracle: pc.oracle,
             wall_s: wall,
             atoms_steps_per_sec: (n * steps) as f64 / wall,
-            speedup_vs_serial: serial_wall / wall,
+            speedup_vs_oracle: oracle_wall / wall,
             phase_s: phases,
         });
     }
-
-    let wall_of = |name: &str| {
-        configs
-            .iter()
-            .find(|c| c.name == name)
-            .expect("config in matrix")
-            .wall_s
-    };
-    let speedup_fused = wall_of("serial") / wall_of("serial+fused");
-    let speedup_batched = wall_of("parallel+fused") / wall_of("parallel+fused+batched");
-    // The headline: the full production path (parallel + fused +
-    // batched) against the seed path.
-    let speedup_pf = wall_of("serial") / wall_of("parallel+fused+batched");
+    let speedup = oracle_wall / configs[1].wall_s;
     println!();
-    println!("fused vs serial:                    {speedup_fused:.2}x");
-    println!("batched vs parallel+fused:          {speedup_batched:.2}x");
-    println!(
-        "parallel+fused(+batched) vs serial: {speedup_pf:.2}x  \
-         ({host_threads} threads, {host_cores} cores)"
-    );
+    println!("production vs oracle: {speedup:.2}x  ({host_threads} threads, {host_cores} cores)");
 
     let report = MdstepReport {
         box_cells: cells,
@@ -266,9 +201,7 @@ fn main() {
         host_cores,
         table_form: "Compacted".to_string(),
         configs,
-        speedup_fused_vs_serial: speedup_fused,
-        speedup_batched_vs_parallel_fused: speedup_batched,
-        speedup_parallel_fused_vs_serial: speedup_pf,
+        speedup_production_vs_oracle: speedup,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_mdstep.json", json.clone() + "\n").expect("write BENCH_mdstep.json");

@@ -12,6 +12,13 @@
 //! static neighbour offsets **and** the run-away atoms linked to those
 //! lattice points (paper §2.1.1); a run-away central uses the offset
 //! list of its anchor site, exactly as the paper specifies.
+//!
+//! Each pass has two implementations: the production **gather plan**
+//! ([`density_pass_plan`] stages every partner once, [`force_pass_plan`]
+//! replays it with no traversal or table evaluation) and the seed
+//! scalar sweep, kept as the reference oracle
+//! ([`PassConfig::seed_serial`]). Production equals the oracle bit for
+//! bit at every box size and run-away count and at any thread count.
 
 use mmds_eam::{EamPotential, TableForm};
 use mmds_lattice::lnl::LatticeNeighborList;
@@ -23,76 +30,65 @@ use serde::{Deserialize, Serialize};
 /// result bit — is identical at any thread count.
 pub const PAR_CHUNK_SITES: usize = 256;
 
-/// Capacity of the per-central SoA gather buffers used by the batched
-/// passes — four [`mmds_eam::BATCH_LANES`]-wide lane groups. A BCC
-/// central within the paper's 5 Å cutoff sees ~58 partners, so most
-/// centrals flush once full plus one partial buffer; the buffers stay
-/// small enough to live on the stack host-side and inside the 64 KB
-/// local-store plan on the CPE side (see `md::offload`).
+/// Partners per table-kernel call of the plan-building density pass —
+/// four [`mmds_eam::BATCH_LANES`]-wide lane groups, small enough for
+/// the per-call φ and f scratch to live on the stack. A BCC central
+/// within the paper's 5 Å cutoff sees ~58 partners. The CPE offload
+/// kernel sizes its local-store lane buffers with the same constant
+/// (see `md::offload`).
 pub const BATCH_GATHER_CAP: usize = 4 * mmds_eam::BATCH_LANES;
 
 /// How the host-side EAM passes execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PassConfig {
-    /// Run the per-site sweeps as chunked multi-thread read-only maps
-    /// over the neighbor list, with ordered write-back. Results are
-    /// bitwise deterministic across thread counts: chunk boundaries are
-    /// fixed, per-site work reads shared state only, and write-back and
+    /// Run the per-site sweeps as chunked multi-thread maps over the
+    /// neighbor list, with ordered write-back. Results are bitwise
+    /// deterministic across thread counts: chunk boundaries are fixed,
+    /// per-site work reads shared state only, and write-back and
     /// energy reduction happen in site order on the calling thread.
     pub parallel: bool,
-    /// Use the fused single-locate [`EamPotential::pair_density`]
-    /// lookup in the force pass (one table locate per partner) instead
-    /// of independent `pair` + `density` calls (two locates).
-    pub fused: bool,
-    /// Gather each central's partner contributions into contiguous SoA
-    /// buffers (r and displacement components in separate arrays) and
-    /// evaluate the table kernels a [`mmds_eam::BATCH_LANES`]-wide lane
-    /// group at a time ([`EamPotential::pair_density_batch`] /
-    /// [`EamPotential::density_values_batch`]), with a scalar tail.
-    /// Accumulation stays in partner order and every lane replays the
-    /// scalar op sequence, so results are bitwise identical to the
-    /// unbatched sweep. The batched force pass always uses the fused
-    /// single-locate lookup (itself bitwise-identical to separate
-    /// lookups), so `fused` has no further effect when this is set.
-    pub batched: bool,
+    /// Run the seed scalar sweeps (one neighbour traversal per pass,
+    /// separate [`EamPotential::pair`] and [`EamPotential::density`]
+    /// lookups per partner) instead of the production gather plan.
+    /// This is the reference oracle the production path must match
+    /// bit for bit.
+    pub oracle: bool,
 }
 
 impl Default for PassConfig {
+    /// The production path: the parallel gather plan.
     fn default() -> Self {
         Self {
             parallel: true,
-            fused: true,
-            batched: true,
+            oracle: false,
         }
     }
 }
 
 impl PassConfig {
-    /// The pre-optimisation host path: serial sweeps, separate lookups.
+    /// The reference oracle: the seed's serial scalar sweeps.
     pub fn seed_serial() -> Self {
         Self {
             parallel: false,
-            fused: false,
-            batched: false,
+            oracle: true,
         }
     }
 }
 
-/// Per-pass statistics of the batched gather/eval path, summed in site
-/// order on the calling thread and emitted as the `md.batch.*` counter
-/// family.
+/// Per-pass statistics of the gather plan, summed in site order on the
+/// calling thread and emitted as the `md.batch.*` counter family.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
+struct BatchStats {
     /// Full [`mmds_eam::BATCH_LANES`]-wide lane groups evaluated.
-    pub batches: u64,
+    batches: u64,
     /// Elements handled by the scalar tail loops.
-    pub tail_elems: u64,
-    /// Bytes staged into the SoA gather buffers.
-    pub gather_bytes: u64,
+    tail_elems: u64,
+    /// Bytes staged into (or replayed from) the plan's SoA arrays.
+    gather_bytes: u64,
 }
 
 impl BatchStats {
-    /// Accounts one buffer flush of `elems` elements, each staging
+    /// Accounts one central's `elems` partners, each staging or reading
     /// `bytes_per_elem` bytes of SoA data.
     fn charge(&mut self, elems: usize, bytes_per_elem: usize) {
         self.batches += (elems / mmds_eam::BATCH_LANES) as u64;
@@ -113,27 +109,48 @@ impl BatchStats {
     }
 }
 
-/// Maps `f` over `items`, either serially or as fixed-size chunks
-/// distributed over the thread pool. The output order always matches
-/// `items`, and each call of `f` is independent, so both strategies
-/// produce identical bits. Public because read-only observability
-/// sweeps (the defect census in [`crate::census`]) reuse the exact
-/// decomposition of the force passes.
+/// The one chunk decomposition of every host sweep: `items` split into
+/// fixed [`PAR_CHUNK_SITES`]-sized chunks, each paired with the next
+/// element of `state` (a chunk's staging buffers, or `()`), and mapped
+/// by `f` serially or across the thread pool. Chunk boundaries do not
+/// depend on the worker count and results come back in chunk order, so
+/// every result bit is identical at any thread count.
+fn map_chunks<'a, T, S, R>(
+    items: &'a [T],
+    state: impl IntoIterator<Item = S>,
+    parallel: bool,
+    f: impl Fn(&'a [T], S) -> R + Sync,
+) -> Vec<R>
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+{
+    let units = items.chunks(PAR_CHUNK_SITES).zip(state);
+    if !parallel || items.len() <= PAR_CHUNK_SITES {
+        return units.map(|(c, s)| f(c, s)).collect();
+    }
+    let units: Vec<_> = units.collect();
+    units.into_par_iter().map(|(c, s)| f(c, s)).collect()
+}
+
+/// Maps `f` over `items` through [`map_chunks`]' decomposition. The
+/// output order always matches `items`, and each call of `f` is
+/// independent, so serial and parallel runs produce identical bits.
+/// Public because read-only observability sweeps (the defect census in
+/// [`crate::census`]) reuse the exact decomposition of the force passes.
 pub fn chunked_map<T, R, F>(items: &[T], parallel: bool, f: F) -> Vec<R>
 where
     T: Copy + Send + Sync,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if !parallel || items.len() <= PAR_CHUNK_SITES {
-        return items.iter().map(|&t| f(t)).collect();
-    }
-    let chunks: Vec<&[T]> = items.chunks(PAR_CHUNK_SITES).collect();
-    let mapped: Vec<Vec<R>> = chunks
-        .into_par_iter()
-        .map(|c| c.iter().map(|&t| f(t)).collect())
-        .collect();
-    mapped.into_iter().flatten().collect()
+    map_chunks(items, std::iter::repeat(()), parallel, |c, ()| {
+        c.iter().map(|&t| f(t)).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Identifies the atom at the centre of a neighbour sweep.
@@ -180,10 +197,10 @@ impl EnergySample {
 }
 
 /// One interaction partner as seen *before* the distance square root —
-/// what the batched passes stage, so the `sqrt` itself runs as a
-/// vectorizable lane loop inside the batch flush instead of one scalar
+/// what the gather plan stages, so the `sqrt` itself runs as a
+/// vectorizable lane loop before the batch lookup instead of one scalar
 /// root per partner. `r2.sqrt()` is correctly rounded, so computing it
-/// in the batch produces the identical bits the scalar
+/// in the lane loop produces the identical bits the scalar
 /// [`for_each_partner`] sweep sees.
 #[derive(Debug, Clone, Copy)]
 pub struct PartnerSq {
@@ -292,55 +309,17 @@ pub fn for_each_partner(
     });
 }
 
-/// Batched ρ accumulation for one central: partner distances are
-/// gathered into a contiguous buffer and evaluated through the
-/// value-only SoA batch kernel. Only `r` is staged (8 B per partner) —
-/// the density pass never reads the displacement. Accumulation stays
-/// in partner order and the batch kernel replays the scalar op
-/// sequence per lane, so ρ is bitwise identical to the scalar sweep.
-fn density_on_central_batched(
-    l: &LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    central: Central,
-    cutoff: f64,
-) -> (f64, BatchStats) {
-    let mut r2s = [0.0; BATCH_GATHER_CAP];
-    let mut rs = [0.0; BATCH_GATHER_CAP];
-    let mut vals = [0.0; BATCH_GATHER_CAP];
-    let mut len = 0usize;
-    let mut rho = 0.0;
-    let mut stats = BatchStats::default();
-    let flush = |r2s: &[f64], rs: &mut [f64], vals: &mut [f64], rho: &mut f64| {
-        // The deferred square roots, as one vectorizable lane loop.
-        for (r, &r2) in rs.iter_mut().zip(r2s) {
-            *r = r2.sqrt();
-        }
-        pot.density_values_batch(form, rs, vals);
-        for &v in vals.iter() {
-            *rho += v;
-        }
-    };
-    for_each_partner_sq(l, central, cutoff, |p| {
-        r2s[len] = p.r2;
-        len += 1;
-        if len == BATCH_GATHER_CAP {
-            flush(&r2s, &mut rs, &mut vals, &mut rho);
-            stats.charge(BATCH_GATHER_CAP, 8);
-            len = 0;
-        }
-    });
-    flush(&r2s[..len], &mut rs[..len], &mut vals[..len], &mut rho);
-    stats.charge(len, 8);
-    (rho, stats)
-}
-
 /// The per-step SoA gather plan: the density pass runs each central's
 /// neighbour sweep through the **fused** batch lookup and stages
 /// everything the force pass will need — partner displacements, r,
 /// φ'(r), f'(r), a partner reference for the deferred F' fetch, and the
 /// per-central ½Σφ — so the force pass does **no neighbour traversal
 /// and no table evaluation at all**.
+///
+/// The plan holds one staged chunk per [`PAR_CHUNK_SITES`] interior
+/// sites, then one per [`PAR_CHUNK_SITES`] live run-aways: the work
+/// units of [`map_chunks`]. Each chunk is staged in place by the worker
+/// that sweeps it, and its buffers keep their capacity across steps.
 ///
 /// Validity: between the two passes only the embedding pass and the F'
 /// ghost exchange run ([`crate::MdSimulation::compute_forces`]) —
@@ -354,13 +333,19 @@ fn density_on_central_batched(
 /// Bitwise identity: φ, φ', f, f' are pure functions of r, and the
 /// fused lookup replays the op sequence of the separate lookups, so
 /// evaluating them during the density pass produces exactly the bits
-/// the scalar force sweep would compute; the per-central ½Σφ and the
-/// force accumulation replay the scalar accumulation order unchanged.
-///
-/// Central order matches the pass order: one entry per interior site
-/// (vacancies hold an empty range) followed by one per live run-away.
+/// the scalar force sweep would compute; the per-central ρ and ½Σφ and
+/// the force accumulation replay the scalar accumulation order.
 #[derive(Debug, Clone, Default)]
 pub struct GatherPlan {
+    sites: Vec<PlanChunk>,
+    runaways: Vec<PlanChunk>,
+}
+
+/// One work chunk of the [`GatherPlan`]: its centrals' staged partners
+/// in SoA layout, plus their ρ and ½Σφ. Vacant sites hold an empty
+/// partner range and zero ρ and ½Σφ.
+#[derive(Debug, Clone, Default)]
+struct PlanChunk {
     dx: Vec<f64>,
     dy: Vec<f64>,
     dz: Vec<f64>,
@@ -374,51 +359,99 @@ pub struct GatherPlan {
     /// a non-negative value for regular atoms, `-(pool_index + 1)` for
     /// run-away records.
     pref: Vec<i64>,
+    /// Per-central ρ, accumulated in partner order.
+    rho: Vec<f64>,
     /// Per-central ½Σφ, accumulated in partner order.
     pair_e: Vec<f64>,
     /// `offsets[c]..offsets[c + 1]` is central `c`'s partner range.
     offsets: Vec<u32>,
+    /// Staging statistics of the density pass.
+    stats: BatchStats,
 }
 
-impl GatherPlan {
-    /// Drops all staged data (capacity is retained across steps).
-    fn clear(&mut self) {
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        self.r.clear();
-        self.dphi.clear();
-        self.df.clear();
+impl PlanChunk {
+    /// Stages the centrals of `items` in place, replacing the previous
+    /// step's contents (capacity is retained). Partners are pushed
+    /// straight into the SoA arrays, then each central's range goes
+    /// through the lane square roots and the **fused** batch lookup in
+    /// [`BATCH_GATHER_CAP`] groups. φ' and f' stay in the arrays for
+    /// the force pass to replay; φ and f are folded into ½Σφ and ρ on
+    /// the spot, in partner order.
+    fn stage<T: Copy>(
+        &mut self,
+        l: &LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        items: &[T],
+        as_central: impl Fn(T) -> Option<Central>,
+    ) {
+        for v in [
+            &mut self.dx,
+            &mut self.dy,
+            &mut self.dz,
+            &mut self.r,
+            &mut self.dphi,
+            &mut self.df,
+            &mut self.rho,
+            &mut self.pair_e,
+        ] {
+            v.clear();
+        }
         self.pref.clear();
-        self.pair_e.clear();
         self.offsets.clear();
         self.offsets.push(0);
-    }
-
-    /// True when no pass has staged anything into the plan.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.len() <= 1
-    }
-
-    /// Number of centrals staged.
-    fn centrals(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Bulk-appends one work chunk's staged SoA data.
-    fn append_chunk(&mut self, c: &DensityChunk) {
-        self.dx.extend_from_slice(&c.dx);
-        self.dy.extend_from_slice(&c.dy);
-        self.dz.extend_from_slice(&c.dz);
-        self.r.extend_from_slice(&c.r);
-        self.dphi.extend_from_slice(&c.dphi);
-        self.df.extend_from_slice(&c.df);
-        self.pref.extend_from_slice(&c.pref);
-        self.pair_e.extend_from_slice(&c.pair_es);
-        let mut end = *self.offsets.last().expect("offsets seeded by clear()");
-        for &n in &c.counts {
-            end += n;
-            self.offsets.push(end);
+        self.stats = BatchStats::default();
+        let cutoff = pot.cutoff();
+        let mut phi = [0.0; BATCH_GATHER_CAP];
+        let mut fval = [0.0; BATCH_GATHER_CAP];
+        for &item in items {
+            let start = self.r.len();
+            if let Some(central) = as_central(item) {
+                partner_sweep::<false>(l, central, cutoff, |p| {
+                    // `r` temporarily holds r²; the lane loop below
+                    // replaces it with the square root.
+                    self.r.push(p.r2);
+                    self.dx.push(p.dx[0]);
+                    self.dy.push(p.dx[1]);
+                    self.dz.push(p.dx[2]);
+                    self.pref.push(if p.is_runaway {
+                        -(p.ra_index as i64) - 1
+                    } else {
+                        p.site as i64
+                    });
+                });
+            }
+            let end = self.r.len();
+            self.dphi.resize(end, 0.0);
+            self.df.resize(end, 0.0);
+            let mut rho = 0.0;
+            let mut pair_e = 0.0;
+            for at in (start..end).step_by(BATCH_GATHER_CAP) {
+                let g = at..(at + BATCH_GATHER_CAP).min(end);
+                let len = g.len();
+                // The deferred square roots, as one vectorizable lane loop.
+                for r in self.r[g.clone()].iter_mut() {
+                    *r = r.sqrt();
+                }
+                pot.pair_density_batch(
+                    form,
+                    &self.r[g.clone()],
+                    &mut phi[..len],
+                    &mut self.dphi[g.clone()],
+                    &mut fval[..len],
+                    &mut self.df[g],
+                );
+                for k in 0..len {
+                    rho += fval[k];
+                    pair_e += 0.5 * phi[k];
+                }
+            }
+            self.rho.push(rho);
+            self.pair_e.push(pair_e);
+            self.offsets.push(end as u32);
+            // The plan stages the three displacement components, r, φ',
+            // f' and the partner reference: 56 B per partner.
+            self.stats.charge(end - start, 56);
         }
     }
 
@@ -426,198 +459,93 @@ impl GatherPlan {
     fn range(&self, c: usize) -> std::ops::Range<usize> {
         self.offsets[c] as usize..self.offsets[c + 1] as usize
     }
-}
 
-/// One parallel work chunk's output of the plan-building density pass:
-/// the chunk's centrals' staged partner data in SoA layout plus their ρ
-/// and ½Σφ values, concatenated into the [`GatherPlan`] in chunk order
-/// on the calling thread.
-struct DensityChunk {
-    rhos: Vec<f64>,
-    pair_es: Vec<f64>,
-    counts: Vec<u32>,
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
-    r: Vec<f64>,
-    dphi: Vec<f64>,
-    df: Vec<f64>,
-    pref: Vec<i64>,
-    stats: BatchStats,
-}
-
-/// Maps `f` over fixed-size chunks of `items`, serially or across the
-/// thread pool. The chunk decomposition matches [`chunked_map`], so the
-/// output concatenation — and every result bit — is independent of the
-/// thread count.
-fn map_chunks<T, R, F>(items: &[T], parallel: bool, f: F) -> Vec<R>
-where
-    T: Copy + Send + Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    if !parallel || items.len() <= PAR_CHUNK_SITES {
-        return items.chunks(PAR_CHUNK_SITES).map(f).collect();
+    /// Number of centrals staged.
+    fn centrals(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
-    let chunks: Vec<&[T]> = items.chunks(PAR_CHUNK_SITES).collect();
-    chunks.into_par_iter().map(&f).collect()
+
+    /// Force on central `c`, replaying its staged partner range. Only
+    /// the partners' F' values are fetched fresh (8 B per partner); r,
+    /// the displacements, φ' and f' come straight from the SoA arrays.
+    /// The per-partner scale expression and the accumulation order are
+    /// exactly those of [`force_on_central`], so the bits match the
+    /// scalar sweep.
+    fn force(&self, l: &LatticeNeighborList, c: usize, fp_c: f64) -> [f64; 3] {
+        let mut fv = [0.0; 3];
+        for k in self.range(c) {
+            let pr = self.pref[k];
+            let fp = if pr >= 0 {
+                l.fp[pr as usize]
+            } else {
+                l.runaway((-pr - 1) as u32).fp
+            };
+            let scale = -(self.dphi[k] + (fp_c + fp) * self.df[k]) / self.r[k];
+            fv[0] += scale * self.dx[k];
+            fv[1] += scale * self.dy[k];
+            fv[2] += scale * self.dz[k];
+        }
+        fv
+    }
 }
 
-/// Runs the plan-building density sweep for one work chunk: partners
-/// are staged straight into the chunk's SoA buffers (one allocation set
-/// per chunk, not per central), then each central's staged range goes
-/// through the lane square roots and the **fused** batch lookup in
-/// [`BATCH_GATHER_CAP`] chunks — identical chunk boundaries and op
-/// sequence to [`force_on_central_batched`]'s flushes, so every staged
-/// φ', f' and the accumulated ρ and ½Σφ match the scalar sweeps bit for
-/// bit. φ' and f' land in the chunk's SoA arrays for the force pass to
-/// replay; φ and f are folded into ½Σφ and ρ on the spot.
-fn density_chunk_plan<T: Copy>(
+/// Resizes `chunks` to one per [`PAR_CHUNK_SITES`] of `n` centrals,
+/// keeping the surviving chunks' buffers.
+fn fit_chunks(chunks: &mut Vec<PlanChunk>, n: usize) {
+    chunks.resize_with(n.div_ceil(PAR_CHUNK_SITES), PlanChunk::default);
+}
+
+/// Centrals staged across `chunks`.
+fn staged(chunks: &[PlanChunk]) -> usize {
+    chunks.iter().map(PlanChunk::centrals).sum()
+}
+
+/// ρ of one central by the oracle's scalar sweep.
+fn density_on_central(
     l: &LatticeNeighborList,
     pot: &EamPotential,
     form: TableForm,
-    cutoff: f64,
-    items: &[T],
-    as_central: impl Fn(T) -> Option<Central>,
-) -> DensityChunk {
-    let cap = items.len() * 64;
-    let mut c = DensityChunk {
-        rhos: Vec::with_capacity(items.len()),
-        pair_es: Vec::with_capacity(items.len()),
-        counts: Vec::with_capacity(items.len()),
-        dx: Vec::with_capacity(cap),
-        dy: Vec::with_capacity(cap),
-        dz: Vec::with_capacity(cap),
-        r: Vec::with_capacity(cap),
-        dphi: Vec::with_capacity(cap),
-        df: Vec::with_capacity(cap),
-        pref: Vec::with_capacity(cap),
-        stats: BatchStats::default(),
-    };
-    let mut phi = [0.0; BATCH_GATHER_CAP];
-    let mut fval = [0.0; BATCH_GATHER_CAP];
-    for &item in items {
-        let Some(central) = as_central(item) else {
-            c.rhos.push(0.0);
-            c.pair_es.push(0.0);
-            c.counts.push(0);
-            continue;
-        };
-        let start = c.r.len();
-        partner_sweep::<false>(l, central, cutoff, |p| {
-            // `r` temporarily holds r²; the lane loop below replaces it
-            // with the square root.
-            c.r.push(p.r2);
-            c.dx.push(p.dx[0]);
-            c.dy.push(p.dx[1]);
-            c.dz.push(p.dx[2]);
-            c.pref.push(if p.is_runaway {
-                -(p.ra_index as i64) - 1
-            } else {
-                p.site as i64
-            });
-        });
-        let n = c.r.len() - start;
-        c.dphi.resize(start + n, 0.0);
-        c.df.resize(start + n, 0.0);
-        let mut rho = 0.0;
-        let mut pair_e = 0.0;
-        let mut at = start;
-        while at < start + n {
-            let len = (start + n - at).min(BATCH_GATHER_CAP);
-            // The deferred square roots, as one vectorizable lane loop.
-            for r in c.r[at..at + len].iter_mut() {
-                *r = r.sqrt();
-            }
-            pot.pair_density_batch(
-                form,
-                &c.r[at..at + len],
-                &mut phi[..len],
-                &mut c.dphi[at..at + len],
-                &mut fval[..len],
-                &mut c.df[at..at + len],
-            );
-            for k in 0..len {
-                rho += fval[k];
-                pair_e += 0.5 * phi[k];
-            }
-            at += len;
-        }
-        c.rhos.push(rho);
-        c.pair_es.push(pair_e);
-        c.counts.push(n as u32);
-        // The plan stages the three displacement components, r, φ', f'
-        // and the partner reference: 56 B per partner.
-        c.stats.charge(n, 56);
-    }
-    c
-}
-
-/// Pass 1: electron densities for owned atoms and owned run-aways.
-/// Defaults to the parallel, fused execution strategy.
-pub fn density_pass(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-) {
-    density_pass_with(l, pot, form, interior, PassConfig::default());
-}
-
-/// Pass 1 with an explicit execution strategy: a read-only sweep over
-/// the neighbor list computing each central's ρ, then an ordered
-/// write-back (the gather-then-write staging the serial code already
-/// used, now safe to chunk across threads).
-pub fn density_pass_with(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-    cfg: PassConfig,
-) {
-    let _span = mmds_telemetry::span!("md.density");
-    let cutoff = pot.cutoff();
-    let density_of = |l: &LatticeNeighborList, central: Central| {
-        if cfg.batched {
-            density_on_central_batched(l, pot, form, central, cutoff)
-        } else {
-            let mut rho = 0.0;
-            for_each_partner(l, central, cutoff, |p| {
-                rho += pot.density(form, p.r).0;
-            });
-            (rho, BatchStats::default())
-        }
-    };
-    let site_rho = chunked_map(interior, cfg.parallel, |s| {
-        if l.id[s] < 0 {
-            return (0.0, BatchStats::default());
-        }
-        density_of(l, Central::Site(s))
+    central: Central,
+) -> f64 {
+    let mut rho = 0.0;
+    for_each_partner(l, central, pot.cutoff(), |p| {
+        rho += pot.density(form, p.r).0;
     });
-    let mut stats = BatchStats::default();
-    for (&s, (rho, st)) in interior.iter().zip(site_rho) {
+    rho
+}
+
+/// Pass 1 of the oracle: a read-only scalar sweep computing each
+/// central's ρ, then an ordered write-back.
+fn density_pass_oracle(
+    l: &mut LatticeNeighborList,
+    pot: &EamPotential,
+    form: TableForm,
+    interior: &[usize],
+    parallel: bool,
+) {
+    let site_rho = chunked_map(interior, parallel, |s| {
+        if l.id[s] < 0 {
+            return 0.0;
+        }
+        density_on_central(l, pot, form, Central::Site(s))
+    });
+    for (&s, rho) in interior.iter().zip(site_rho) {
         l.rho[s] = rho;
-        stats.absorb(st);
     }
     let runaways = l.live_runaways();
-    let ra_rho = chunked_map(&runaways, cfg.parallel, |i| {
-        density_of(l, Central::Runaway(i))
+    let ra_rho = chunked_map(&runaways, parallel, |i| {
+        density_on_central(l, pot, form, Central::Runaway(i))
     });
-    for (&i, (rho, st)) in runaways.iter().zip(ra_rho) {
+    for (&i, rho) in runaways.iter().zip(ra_rho) {
         l.runaway_mut(i).rho = rho;
-        stats.absorb(st);
-    }
-    if cfg.batched {
-        stats.emit();
     }
 }
 
-/// Pass 1, building the per-step [`GatherPlan`] as a side effect: each
-/// central's partner sweep is staged into SoA records, ρ is evaluated
-/// from the staged records through the batch kernels, and the records
-/// are concatenated (in central order) into `plan` for the force pass
-/// to replay. Falls back to [`density_pass_with`] (clearing the plan)
-/// when the batched path is disabled.
+/// Pass 1: electron densities for owned atoms and owned run-aways. In
+/// production, each work chunk's centrals are staged in place into
+/// `plan` (see [`GatherPlan`]) and their ρ written back in site order;
+/// the oracle ([`PassConfig::oracle`]) runs the scalar sweep and leaves
+/// `plan` untouched.
 pub fn density_pass_plan(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -626,43 +554,39 @@ pub fn density_pass_plan(
     cfg: PassConfig,
     plan: &mut GatherPlan,
 ) {
-    plan.clear();
-    if !cfg.batched {
-        return density_pass_with(l, pot, form, interior, cfg);
-    }
     let _span = mmds_telemetry::span!("md.density");
-    let cutoff = pot.cutoff();
-    let site_chunks = map_chunks(interior, cfg.parallel, |sites| {
-        density_chunk_plan(l, pot, form, cutoff, sites, |s| {
+    if cfg.oracle {
+        return density_pass_oracle(l, pot, form, interior, cfg.parallel);
+    }
+    fit_chunks(&mut plan.sites, interior.len());
+    map_chunks(interior, &mut plan.sites, cfg.parallel, |sites, c| {
+        c.stage(l, pot, form, sites, |s| {
             (l.id[s] >= 0).then_some(Central::Site(s))
         })
     });
     let mut stats = BatchStats::default();
-    let mut sites = interior.iter();
-    for c in &site_chunks {
-        for (&s, &rho) in sites.by_ref().zip(&c.rhos) {
+    for (sites, c) in interior.chunks(PAR_CHUNK_SITES).zip(&plan.sites) {
+        for (&s, &rho) in sites.iter().zip(&c.rho) {
             l.rho[s] = rho;
         }
-        plan.append_chunk(c);
         stats.absorb(c.stats);
     }
     let runaways = l.live_runaways();
-    let ra_chunks = map_chunks(&runaways, cfg.parallel, |ras| {
-        density_chunk_plan(l, pot, form, cutoff, ras, |i| Some(Central::Runaway(i)))
+    fit_chunks(&mut plan.runaways, runaways.len());
+    map_chunks(&runaways, &mut plan.runaways, cfg.parallel, |ras, c| {
+        c.stage(l, pot, form, ras, |i| Some(Central::Runaway(i)))
     });
-    let mut ras = runaways.iter();
-    for c in &ra_chunks {
-        for (&i, &rho) in ras.by_ref().zip(&c.rhos) {
+    for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&plan.runaways) {
+        for (&i, &rho) in ras.iter().zip(&c.rho) {
             l.runaway_mut(i).rho = rho;
         }
-        plan.append_chunk(c);
         stats.absorb(c.stats);
     }
     stats.emit();
 }
 
 /// Embedding pass: F'(ρ) for owned atoms/run-aways, returning Σ F(ρ).
-/// Defaults to the parallel execution strategy.
+/// Runs in parallel.
 pub fn embedding_pass(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -672,7 +596,8 @@ pub fn embedding_pass(
     embedding_pass_with(l, pot, form, interior, PassConfig::default())
 }
 
-/// Embedding pass with an explicit execution strategy. The Σ F(ρ)
+/// Embedding pass with an explicit execution strategy (production and
+/// oracle share it; only [`PassConfig::parallel`] matters). The Σ F(ρ)
 /// reduction runs in site order on the calling thread, so the energy is
 /// identical at any thread count.
 pub fn embedding_pass_with(
@@ -705,28 +630,20 @@ pub fn embedding_pass_with(
     e
 }
 
-/// Accumulates one central's force and pair-energy contribution.
-#[inline]
+/// One central's force and pair-energy contribution by the oracle's
+/// scalar sweep, with separate pair and density lookups.
 fn force_on_central(
     l: &LatticeNeighborList,
     pot: &EamPotential,
     form: TableForm,
     central: Central,
-    cutoff: f64,
     fp_c: f64,
-    fused: bool,
 ) -> ([f64; 3], f64) {
     let mut fv = [0.0; 3];
     let mut pair_e = 0.0;
-    for_each_partner(l, central, cutoff, |p| {
-        let (phi, dphi, df) = if fused {
-            let (phi, dphi, _f, df) = pot.pair_density(form, p.r);
-            (phi, dphi, df)
-        } else {
-            let (phi, dphi) = pot.pair(form, p.r);
-            let (_, df) = pot.density(form, p.r);
-            (phi, dphi, df)
-        };
+    for_each_partner(l, central, pot.cutoff(), |p| {
+        let (phi, dphi) = pot.pair(form, p.r);
+        let (_, df) = pot.density(form, p.r);
         pair_e += 0.5 * phi;
         let scale = -(dphi + (fp_c + p.fp) * df) / p.r;
         for ax in 0..3 {
@@ -736,213 +653,44 @@ fn force_on_central(
     (fv, pair_e)
 }
 
-/// Evaluates one flushed SoA gather buffer through the fused batch
-/// lookup and accumulates pair energy and force in partner order —
-/// exactly the per-partner expressions of [`force_on_central`]'s fused
-/// branch, so the accumulators stay bitwise identical to the scalar
-/// sweep.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn flush_force_batch(
-    pot: &EamPotential,
-    form: TableForm,
-    r2s: &[f64],
-    dxs: &[f64],
-    dys: &[f64],
-    dzs: &[f64],
-    fps: &[f64],
-    fp_c: f64,
-    fv: &mut [f64; 3],
-    pair_e: &mut f64,
-) {
-    let len = r2s.len();
-    let mut rs = [0.0; BATCH_GATHER_CAP];
-    // The deferred square roots, as one vectorizable lane loop.
-    for (r, &r2) in rs[..len].iter_mut().zip(r2s) {
-        *r = r2.sqrt();
-    }
-    let mut phi = [0.0; BATCH_GATHER_CAP];
-    let mut dphi = [0.0; BATCH_GATHER_CAP];
-    let mut fval = [0.0; BATCH_GATHER_CAP];
-    let mut df = [0.0; BATCH_GATHER_CAP];
-    pot.pair_density_batch(
-        form,
-        &rs[..len],
-        &mut phi[..len],
-        &mut dphi[..len],
-        &mut fval[..len],
-        &mut df[..len],
-    );
-    for k in 0..len {
-        *pair_e += 0.5 * phi[k];
-        let scale = -(dphi[k] + (fp_c + fps[k]) * df[k]) / rs[k];
-        fv[0] += scale * dxs[k];
-        fv[1] += scale * dys[k];
-        fv[2] += scale * dzs[k];
-    }
-}
-
-/// Batched force/pair-energy accumulation for one central: partner
-/// data is gathered into SoA buffers (r, dx, dy, dz, F' — 40 B per
-/// partner) and flushed through [`flush_force_batch`] whenever the
-/// buffer fills and once at the end of the sweep.
-fn force_on_central_batched(
-    l: &LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    central: Central,
-    cutoff: f64,
-    fp_c: f64,
-) -> ([f64; 3], f64, BatchStats) {
-    let mut r2s = [0.0; BATCH_GATHER_CAP];
-    let mut dxs = [0.0; BATCH_GATHER_CAP];
-    let mut dys = [0.0; BATCH_GATHER_CAP];
-    let mut dzs = [0.0; BATCH_GATHER_CAP];
-    let mut fps = [0.0; BATCH_GATHER_CAP];
-    let mut len = 0usize;
-    let mut fv = [0.0; 3];
-    let mut pair_e = 0.0;
-    let mut stats = BatchStats::default();
-    for_each_partner_sq(l, central, cutoff, |p| {
-        r2s[len] = p.r2;
-        dxs[len] = p.dx[0];
-        dys[len] = p.dx[1];
-        dzs[len] = p.dx[2];
-        fps[len] = p.fp;
-        len += 1;
-        if len == BATCH_GATHER_CAP {
-            flush_force_batch(
-                pot,
-                form,
-                &r2s,
-                &dxs,
-                &dys,
-                &dzs,
-                &fps,
-                fp_c,
-                &mut fv,
-                &mut pair_e,
-            );
-            stats.charge(BATCH_GATHER_CAP, 40);
-            len = 0;
-        }
-    });
-    flush_force_batch(
-        pot,
-        form,
-        &r2s[..len],
-        &dxs[..len],
-        &dys[..len],
-        &dzs[..len],
-        &fps[..len],
-        fp_c,
-        &mut fv,
-        &mut pair_e,
-    );
-    stats.charge(len, 40);
-    (fv, pair_e, stats)
-}
-
-/// Pass 2: forces on owned atoms/run-aways, returning the pair energy.
-/// Ghost F' values must be current (exchange between the passes).
-/// Defaults to the parallel, fused execution strategy.
-pub fn force_pass(
+/// Pass 2 of the oracle: each central's force and pair-energy
+/// contribution in a read-only scalar sweep; the write-back and the
+/// ½Σφ reduction run in site order on the calling thread.
+fn force_pass_oracle(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
     form: TableForm,
     interior: &[usize],
+    parallel: bool,
 ) -> f64 {
-    force_pass_with(l, pot, form, interior, PassConfig::default())
-}
-
-/// Pass 2 with an explicit execution strategy. Each central's force and
-/// pair-energy contribution are computed in a read-only sweep; the
-/// write-back and the ½Σφ reduction run in site order on the calling
-/// thread, keeping both bitwise deterministic across thread counts.
-pub fn force_pass_with(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-    cfg: PassConfig,
-) -> f64 {
-    let _span = mmds_telemetry::span!("md.pair");
-    let cutoff = pot.cutoff();
-    let force_of = |l: &LatticeNeighborList, central: Central, fp_c: f64| {
-        if cfg.batched {
-            force_on_central_batched(l, pot, form, central, cutoff, fp_c)
-        } else {
-            let (fv, pe) = force_on_central(l, pot, form, central, cutoff, fp_c, cfg.fused);
-            (fv, pe, BatchStats::default())
-        }
-    };
-    let site_force = chunked_map(interior, cfg.parallel, |s| {
+    let site_force = chunked_map(interior, parallel, |s| {
         if l.id[s] < 0 {
-            return ([0.0; 3], 0.0, BatchStats::default());
+            return ([0.0; 3], 0.0);
         }
-        force_of(l, Central::Site(s), l.fp[s])
+        force_on_central(l, pot, form, Central::Site(s), l.fp[s])
     });
     let mut pair_energy = 0.0;
-    let mut stats = BatchStats::default();
-    for (&s, (fv, pe, st)) in interior.iter().zip(site_force) {
+    for (&s, (fv, pe)) in interior.iter().zip(site_force) {
         l.force[s] = fv;
         pair_energy += pe;
-        stats.absorb(st);
     }
     let runaways = l.live_runaways();
-    let ra_force = chunked_map(&runaways, cfg.parallel, |i| {
-        force_of(l, Central::Runaway(i), l.runaway(i).fp)
+    let ra_force = chunked_map(&runaways, parallel, |i| {
+        force_on_central(l, pot, form, Central::Runaway(i), l.runaway(i).fp)
     });
-    for (&i, (fv, pe, st)) in runaways.iter().zip(ra_force) {
+    for (&i, (fv, pe)) in runaways.iter().zip(ra_force) {
         l.runaway_mut(i).force = fv;
         pair_energy += pe;
-        stats.absorb(st);
-    }
-    if cfg.batched {
-        stats.emit();
     }
     pair_energy
 }
 
-/// Force accumulation for one central, replaying its staged partner
-/// range from the gather plan. Only the partners' F' values are
-/// fetched fresh (8 B per partner); r, the displacements, φ' and f'
-/// come straight from the plan's SoA arrays, and ½Σφ was already
-/// accumulated by the density pass. The per-partner scale expression
-/// and the accumulation order are exactly those of
-/// [`force_on_central`]'s fused branch, so the bits match the scalar
-/// sweep.
-fn force_from_plan(
-    l: &LatticeNeighborList,
-    plan: &GatherPlan,
-    central: usize,
-    fp_c: f64,
-) -> ([f64; 3], f64, BatchStats) {
-    let range = plan.range(central);
-    let mut fv = [0.0; 3];
-    let mut stats = BatchStats::default();
-    stats.charge(range.len(), 8);
-    for k in range {
-        let pr = plan.pref[k];
-        let fp = if pr >= 0 {
-            l.fp[pr as usize]
-        } else {
-            l.runaway((-pr - 1) as u32).fp
-        };
-        let scale = -(plan.dphi[k] + (fp_c + fp) * plan.df[k]) / plan.r[k];
-        fv[0] += scale * plan.dx[k];
-        fv[1] += scale * plan.dy[k];
-        fv[2] += scale * plan.dz[k];
-    }
-    (fv, plan.pair_e[central], stats)
-}
-
-/// Pass 2, replaying the [`GatherPlan`] built by [`density_pass_plan`]
-/// in the same step: no second neighbour traversal — each central's
-/// staged partner range goes straight through the lane square roots and
-/// fused batch lookups, with only the partners' F' fetched fresh.
-/// Falls back to [`force_pass_with`] when the batched path is disabled
-/// or the plan is empty. Panics if the plan's central count does not
+/// Pass 2: forces on owned atoms/run-aways, returning the pair energy.
+/// Ghost F' values must be current (exchange between the passes). In
+/// production the force pass replays, chunk by chunk, the
+/// [`GatherPlan`] that [`density_pass_plan`] staged in the same step,
+/// with only the partners' F' fetched fresh; the oracle runs the scalar
+/// sweep. Panics in production if the plan's central count does not
 /// match the current interior + run-away population (a stale plan).
 pub fn force_pass_plan(
     l: &mut LatticeNeighborList,
@@ -952,40 +700,48 @@ pub fn force_pass_plan(
     cfg: PassConfig,
     plan: &GatherPlan,
 ) -> f64 {
-    if !cfg.batched || plan.is_empty() {
-        return force_pass_with(l, pot, form, interior, cfg);
-    }
     let _span = mmds_telemetry::span!("md.pair");
+    if cfg.oracle {
+        return force_pass_oracle(l, pot, form, interior, cfg.parallel);
+    }
     let runaways = l.live_runaways();
-    assert_eq!(
-        plan.centrals(),
-        interior.len() + runaways.len(),
+    assert!(
+        staged(&plan.sites) == interior.len() && staged(&plan.runaways) == runaways.len(),
         "gather plan is stale: central population changed since the density pass"
     );
-    let site_idx: Vec<usize> = (0..interior.len()).collect();
-    let site_force = chunked_map(&site_idx, cfg.parallel, |c| {
-        let s = interior[c];
-        if l.id[s] < 0 {
-            return ([0.0; 3], 0.0, BatchStats::default());
-        }
-        force_from_plan(l, plan, c, l.fp[s])
+    let site_force = map_chunks(interior, &plan.sites, cfg.parallel, |sites, c| {
+        (0..sites.len())
+            .map(|k| c.force(l, k, l.fp[sites[k]]))
+            .collect::<Vec<_>>()
+    });
+    let ra_force = map_chunks(&runaways, &plan.runaways, cfg.parallel, |ras, c| {
+        (0..ras.len())
+            .map(|k| c.force(l, k, l.runaway(ras[k]).fp))
+            .collect::<Vec<_>>()
     });
     let mut pair_energy = 0.0;
     let mut stats = BatchStats::default();
-    for (&s, (fv, pe, st)) in interior.iter().zip(site_force) {
-        l.force[s] = fv;
-        pair_energy += pe;
-        stats.absorb(st);
+    for ((sites, c), forces) in interior
+        .chunks(PAR_CHUNK_SITES)
+        .zip(&plan.sites)
+        .zip(site_force)
+    {
+        for (k, (&s, fv)) in sites.iter().zip(forces).enumerate() {
+            l.force[s] = fv;
+            pair_energy += c.pair_e[k];
+            stats.charge(c.range(k).len(), 8);
+        }
     }
-    let ra_idx: Vec<usize> = (0..runaways.len()).collect();
-    let ra_force = chunked_map(&ra_idx, cfg.parallel, |k| {
-        let i = runaways[k];
-        force_from_plan(l, plan, interior.len() + k, l.runaway(i).fp)
-    });
-    for (&i, (fv, pe, st)) in runaways.iter().zip(ra_force) {
-        l.runaway_mut(i).force = fv;
-        pair_energy += pe;
-        stats.absorb(st);
+    for ((ras, c), forces) in runaways
+        .chunks(PAR_CHUNK_SITES)
+        .zip(&plan.runaways)
+        .zip(ra_force)
+    {
+        for (k, (&i, fv)) in ras.iter().zip(forces).enumerate() {
+            l.runaway_mut(i).force = fv;
+            pair_energy += c.pair_e[k];
+            stats.charge(c.range(k).len(), 8);
+        }
     }
     stats.emit();
     pair_energy
@@ -994,9 +750,9 @@ pub fn force_pass_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::{exchange_ghosts, fill_periodic_ghosts, GhostPhase, Loopback};
     use mmds_eam::analytic::Species;
-    use mmds_eam::EamPotential;
-    use mmds_lattice::{BccGeometry, LatticeNeighborList, LocalGrid};
+    use mmds_lattice::{BccGeometry, LocalGrid};
 
     fn setup(n_cells: usize) -> (LatticeNeighborList, EamPotential, Vec<usize>) {
         let grid = LocalGrid::whole(BccGeometry::fe_cube(n_cells), 2);
@@ -1006,15 +762,35 @@ mod tests {
         (l, pot, interior)
     }
 
-    use crate::domain::fill_periodic_ghosts;
-
-    fn eval(l: &mut LatticeNeighborList, pot: &EamPotential, interior: &[usize]) -> EnergySample {
+    /// Both passes through the public entry points under `cfg`, with
+    /// the ghost refreshes of [`crate::MdSimulation::compute_forces`]:
+    /// between the passes only F' is exchanged, so the run-away chains
+    /// the plan refers to stay as staged.
+    fn eval_with(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        interior: &[usize],
+        cfg: PassConfig,
+    ) -> EnergySample {
+        let mut plan = GatherPlan::default();
         fill_periodic_ghosts(l);
-        density_pass(l, pot, TableForm::Compacted, interior);
-        let embed = embedding_pass(l, pot, TableForm::Compacted, interior);
-        fill_periodic_ghosts(l);
-        let pair = force_pass(l, pot, TableForm::Compacted, interior);
+        density_pass_plan(l, pot, form, interior, cfg, &mut plan);
+        let embed = embedding_pass_with(l, pot, form, interior, cfg);
+        exchange_ghosts(l, &mut Loopback, GhostPhase::Fp);
+        let pair = force_pass_plan(l, pot, form, interior, cfg, &plan);
         EnergySample { pair, embed }
+    }
+
+    /// Both passes on the production path.
+    fn eval(l: &mut LatticeNeighborList, pot: &EamPotential, interior: &[usize]) -> EnergySample {
+        eval_with(
+            l,
+            pot,
+            TableForm::Compacted,
+            interior,
+            PassConfig::default(),
+        )
     }
 
     #[test]
@@ -1124,137 +900,77 @@ mod tests {
         assert!(fnorm > 1e-3, "|f| = {fnorm}");
     }
 
-    #[test]
-    fn serial_unfused_and_parallel_fused_agree_bitwise() {
-        // The old (seed) path — serial sweeps, separate pair/density
-        // lookups — and the new default — chunked parallel sweeps,
-        // fused single-locate lookup — must produce identical bits.
-        let run = |cfg: PassConfig| {
-            let (mut l, pot, interior) = setup(5);
-            let s = l.grid.site_id(4, 4, 4, 0);
-            l.pos[s] = [l.pos[s][0] + 0.21, l.pos[s][1] - 0.13, l.pos[s][2] + 0.07];
-            fill_periodic_ghosts(&mut l);
-            density_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            (l.rho, l.force, e, pair)
-        };
-        let old = run(PassConfig::seed_serial());
-        let new = run(PassConfig::default());
-        assert_eq!(old.0, new.0, "rho arrays differ");
-        assert_eq!(old.1, new.1, "force arrays differ");
-        assert_eq!(old.2, new.2, "embedding energy differs");
-        assert_eq!(old.3, new.3, "pair energy differs");
-    }
+    /// Every bit the passes produce: site ρ and forces, each live
+    /// run-away's ρ and force, and both energies.
+    type Bits = (Vec<f64>, Vec<[f64; 3]>, Vec<(f64, [f64; 3])>, u64, u64);
 
-    #[test]
-    fn batched_passes_agree_bitwise_with_scalar() {
-        // The batched SoA gather/eval path must replay the scalar op
-        // sequence exactly — including for run-away centrals, whose
-        // partner counts exercise the ragged scalar tails.
-        let run = |cfg: PassConfig| {
-            let (mut l, pot, interior) = setup(5);
-            let s = l.grid.site_id(4, 4, 4, 0);
-            l.pos[s] = [l.pos[s][0] + 0.21, l.pos[s][1] - 0.13, l.pos[s][2] + 0.07];
-            let v = l.grid.site_id(3, 3, 3, 0);
+    /// A `cells`³ box with one displaced atom and `n_runaways` atoms
+    /// (every third interior site) promoted to run-aways 0.88 Å off
+    /// their vacant sites, outside the capture radius.
+    fn passes(cells: usize, n_runaways: usize, cfg: PassConfig) -> Bits {
+        let (mut l, pot, interior) = setup(cells);
+        let s = l.grid.site_id(4, 4, 4, 0);
+        l.pos[s] = [l.pos[s][0] + 0.21, l.pos[s][1] - 0.13, l.pos[s][2] + 0.07];
+        let promoted: Vec<usize> = interior
+            .iter()
+            .copied()
+            .filter(|&v| v != s)
+            .step_by(3)
+            .take(n_runaways)
+            .collect();
+        assert_eq!(promoted.len(), n_runaways);
+        for v in promoted {
+            let p = l.pos[v];
             let id = l.make_vacancy(v);
-            let lp = l.grid.site_position(3, 3, 3, 0);
-            let idx = l.add_runaway(v, id, [lp[0] + 1.3, lp[1] + 0.4, lp[2]], [0.0; 3]);
-            fill_periodic_ghosts(&mut l);
-            density_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let ra = l.runaway(idx);
-            (l.rho.clone(), l.force.clone(), e, pair, ra.rho, ra.force)
-        };
-        let scalar = run(PassConfig {
-            parallel: false,
-            fused: true,
-            batched: false,
-        });
-        for (parallel, fused) in [(false, true), (true, false), (true, true)] {
-            let batched = run(PassConfig {
-                parallel,
-                fused,
-                batched: true,
-            });
-            assert_eq!(scalar.0, batched.0, "rho arrays differ");
-            assert_eq!(scalar.1, batched.1, "force arrays differ");
-            assert_eq!(scalar.2, batched.2, "embedding energy differs");
-            assert_eq!(scalar.3, batched.3, "pair energy differs");
-            assert_eq!(scalar.4, batched.4, "run-away rho differs");
-            assert_eq!(scalar.5, batched.5, "run-away force differs");
+            l.add_runaway(v, id, [p[0] + 0.85, p[1] + 0.2, p[2] + 0.1], [0.0; 3]);
         }
+        let e = eval_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
+        let ras = l.live_runaways();
+        assert_eq!(ras.len(), n_runaways);
+        let ras = ras
+            .into_iter()
+            .map(|i| (l.runaway(i).rho, l.runaway(i).force))
+            .collect();
+        (l.rho, l.force, ras, e.embed.to_bits(), e.pair.to_bits())
     }
 
+    /// The gather plan must reproduce the oracle exactly, across
+    /// work-chunk boundaries of both the sites (a 6-cell box holds 432)
+    /// and the run-aways (300 of them), serially, in parallel, and at
+    /// 1, 2 and 8 worker threads. The oracle run in parallel must match
+    /// its serial self too.
     #[test]
     fn plan_passes_agree_bitwise_with_scalar() {
-        // The gather-plan pipeline (fused staging in the density pass,
-        // traversal-free replay in the force pass) must reproduce the
-        // scalar sweeps exactly, run-away centrals and ragged tails
-        // included.
-        let build = || {
-            let (mut l, pot, interior) = setup(5);
-            let s = l.grid.site_id(4, 4, 4, 0);
-            l.pos[s] = [l.pos[s][0] + 0.21, l.pos[s][1] - 0.13, l.pos[s][2] + 0.07];
-            let v = l.grid.site_id(3, 3, 3, 0);
-            let id = l.make_vacancy(v);
-            let lp = l.grid.site_position(3, 3, 3, 0);
-            let idx = l.add_runaway(v, id, [lp[0] + 1.3, lp[1] + 0.4, lp[2]], [0.0; 3]);
-            (l, pot, interior, idx)
-        };
-        let scalar = {
-            let (mut l, pot, interior, idx) = build();
-            let cfg = PassConfig::seed_serial();
-            fill_periodic_ghosts(&mut l);
-            density_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let ra = l.runaway(idx);
-            (l.rho.clone(), l.force.clone(), e, pair, ra.rho, ra.force)
-        };
-        for parallel in [false, true] {
-            let (mut l, pot, interior, idx) = build();
-            let cfg = PassConfig {
-                parallel,
-                fused: true,
-                batched: true,
+        for (cells, n_runaways) in [(6usize, 1), (8, 300)] {
+            assert!(2 * cells.pow(3) > PAR_CHUNK_SITES);
+            let oracle = passes(cells, n_runaways, PassConfig::seed_serial());
+            let check = |got: Bits, what: &str| {
+                let what = format!("{what}, {cells} cells, {n_runaways} run-aways");
+                assert_eq!(oracle.0, got.0, "rho arrays differ ({what})");
+                assert_eq!(oracle.1, got.1, "force arrays differ ({what})");
+                assert_eq!(oracle.2, got.2, "run-aways differ ({what})");
+                assert_eq!(oracle.3, got.3, "embedding energy differs ({what})");
+                assert_eq!(oracle.4, got.4, "pair energy differs ({what})");
             };
-            let mut plan = GatherPlan::default();
-            fill_periodic_ghosts(&mut l);
-            density_pass_plan(
-                &mut l,
-                &pot,
-                TableForm::Compacted,
-                &interior,
-                cfg,
-                &mut plan,
+            let serial = PassConfig {
+                parallel: false,
+                oracle: false,
+            };
+            check(passes(cells, n_runaways, serial), "serial production");
+            let parallel_oracle = PassConfig {
+                parallel: true,
+                oracle: true,
+            };
+            check(
+                passes(cells, n_runaways, parallel_oracle),
+                "parallel oracle",
             );
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_plan(&mut l, &pot, TableForm::Compacted, &interior, cfg, &plan);
-            let ra = l.runaway(idx);
-            assert_eq!(scalar.0, l.rho, "rho arrays differ (parallel={parallel})");
-            assert_eq!(
-                scalar.1, l.force,
-                "force arrays differ (parallel={parallel})"
-            );
-            assert_eq!(
-                scalar.2, e,
-                "embedding energy differs (parallel={parallel})"
-            );
-            assert_eq!(scalar.3, pair, "pair energy differs (parallel={parallel})");
-            assert_eq!(
-                scalar.4, ra.rho,
-                "run-away rho differs (parallel={parallel})"
-            );
-            assert_eq!(
-                scalar.5, ra.force,
-                "run-away force differs (parallel={parallel})"
-            );
+            for threads in ["1", "2", "8"] {
+                std::env::set_var("RAYON_NUM_THREADS", threads);
+                let got = passes(cells, n_runaways, PassConfig::default());
+                std::env::remove_var("RAYON_NUM_THREADS");
+                check(got, &format!("production at {threads} threads"));
+            }
         }
     }
 
@@ -1263,10 +979,10 @@ mod tests {
         let (mut l, pot, interior) = setup(4);
         let s = l.grid.site_id(3, 3, 3, 0);
         l.pos[s][0] += 0.2;
-        fill_periodic_ghosts(&mut l);
-        density_pass(&mut l, &pot, TableForm::Compacted, &interior);
+        let cfg = PassConfig::default();
+        eval_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
         let rho_c = l.rho[s];
-        density_pass(&mut l, &pot, TableForm::Traditional, &interior);
+        eval_with(&mut l, &pot, TableForm::Traditional, &interior, cfg);
         let rho_t = l.rho[s];
         assert!((rho_c - rho_t).abs() < 1e-6, "{rho_c} vs {rho_t}");
     }

@@ -58,7 +58,8 @@ pub struct OffloadConfig {
     /// Overlap staging DMA with compute.
     pub double_buffer: bool,
     /// Evaluate resident-table lookups through the SoA lane-batch
-    /// kernels (the CPE mirror of [`crate::force::PassConfig::batched`]).
+    /// kernels (the CPE mirror of the host gather plan,
+    /// [`crate::force::density_pass_plan`]).
     /// Reserves lane buffers in the LDM plan; only effective with
     /// compacted tables (traditional rows are gathered per access, so
     /// there is nothing contiguous to batch).

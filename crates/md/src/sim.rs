@@ -67,8 +67,8 @@ pub struct MdSimulation {
     pub interior: Vec<usize>,
     /// Which table machinery evaluates the potential.
     pub table_form: TableForm,
-    /// Host execution strategy for the EAM passes (parallel + fused by
-    /// default; benchmarks flip the flags to measure the seed path).
+    /// Host execution strategy for the EAM passes (the parallel gather
+    /// plan by default; [`PassConfig::seed_serial`] runs the oracle).
     pub pass_config: PassConfig,
     /// Simulated time (ps).
     pub time_ps: f64,
