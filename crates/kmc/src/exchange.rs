@@ -421,7 +421,6 @@ pub fn on_demand_put(
         OnDemandMode::TwoSided => t.neighbor_exchange(&dirs, payloads),
         OnDemandMode::OneSided => t.put_fence(&dirs, payloads),
     };
-    let me = t.rank();
     for bytes in received {
         let mut u = Unpacker::new(&bytes);
         while !u.is_exhausted() {
@@ -434,7 +433,6 @@ pub fn on_demand_put(
             let st = SiteState::from_u8(u.get_u8());
             apply_global_update(lat, g, b, st);
         }
-        let _ = me;
     }
     // In loopback mode the sent updates double as the received ones; in
     // multi-rank mode the local images of *our own* dirty ghost writes

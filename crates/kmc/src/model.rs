@@ -344,6 +344,65 @@ mod tests {
     }
 
     #[test]
+    fn rates_obey_detailed_balance() {
+        // Every hop of random Fe/Cu/vacancy configurations whose barrier
+        // is above the floor both ways: ΔE(v→n) = −ΔE(n→v) exactly and
+        // k(v→n)/k(n→v) = exp(−ΔE/k_BT).
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut checked = 0;
+        for seed in 0..4u64 {
+            let grid = LocalGrid::whole(BccGeometry::fe_cube(6), 3);
+            let mut lat = KmcLattice::all_fe(grid, 3.0);
+            let m = EnergyModel::new(&KmcConfig::default(), &lat);
+            let mut st = RateStats::default();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for s in 0..lat.n_sites() {
+                let x: f64 = rng.random();
+                if x < 0.08 {
+                    lat.state[s] = SiteState::Vacancy;
+                } else if x < 0.3 {
+                    lat.state[s] = SiteState::Cu;
+                }
+            }
+            let owned: Vec<usize> = lat.grid.interior_ids().collect();
+            for v in owned {
+                if lat.state[v] != SiteState::Vacancy {
+                    continue;
+                }
+                let partners: Vec<usize> = lat.nn1(v).collect();
+                for n in partners {
+                    if !lat.state[n].is_atom() {
+                        continue;
+                    }
+                    let de_fwd = m.delta_e(&mut lat, v, n, &mut st);
+                    let k_fwd = m.rate(&mut lat, v, n, &mut st);
+                    let atom = lat.state[n];
+                    lat.state[v] = atom;
+                    lat.state[n] = SiteState::Vacancy;
+                    let de_bwd = m.delta_e(&mut lat, n, v, &mut st);
+                    let k_bwd = m.rate(&mut lat, n, v, &mut st);
+                    lat.state[n] = atom;
+                    lat.state[v] = SiteState::Vacancy;
+                    assert_eq!(de_fwd, -de_bwd, "ΔE must be antisymmetric");
+                    let floor = |de: f64| m.e_mig0 + 0.5 * de <= m.e_floor;
+                    if floor(de_fwd) || floor(de_bwd) {
+                        continue;
+                    }
+                    let want = (-de_fwd / m.kbt).exp();
+                    let got = k_fwd / k_bwd;
+                    assert!(
+                        ((got - want) / want).abs() < 1e-12,
+                        "k ratio {got} vs exp(−ΔE/kT) {want} (ΔE = {de_fwd})"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} hops checked");
+    }
+
+    #[test]
     fn pair_index_symmetric() {
         assert_eq!(pair_idx(SiteState::Fe, SiteState::Cu), 2);
         assert_eq!(pair_idx(SiteState::Cu, SiteState::Fe), 2);

@@ -98,7 +98,7 @@ impl KmcSimulation {
             self.time = self.cfg.t_threshold;
             return 0;
         }
-        let evals_before = self.stats.rate.site_evals;
+        let rate_before = self.stats.rate;
         let vac_before = self.lat.n_vacancies() as u64;
         let mut events = 0;
         let mut ghost_bytes = 0u64;
@@ -127,7 +127,7 @@ impl KmcSimulation {
         self.stats.events += events;
         self.stats.cycles += 1;
         self.time += dt;
-        let evals = self.stats.rate.site_evals - evals_before;
+        let evals = self.stats.rate.site_evals - rate_before.site_evals;
         t.tick_compute(evals as f64 * SITE_EVAL_SECONDS);
         if mmds_telemetry::enabled() {
             let vac_after = self.lat.n_vacancies() as u64;
@@ -142,6 +142,11 @@ impl KmcSimulation {
             mmds_telemetry::global().counters().push_kmc(sample);
             mmds_telemetry::emit(mmds_telemetry::Event::Kmc(sample));
             mmds_telemetry::add_counter("kmc.ghost_bytes", ghost_bytes as f64);
+            // Rate work actually done (the incremental catalogue skips
+            // hops no event could have changed).
+            let rate_evals = self.stats.rate.rate_evals - rate_before.rate_evals;
+            mmds_telemetry::add_counter("kmc.rate_evals", rate_evals as f64);
+            mmds_telemetry::add_counter("kmc.site_evals", evals as f64);
             // Comm-savings accounting vs. the analytic full-ghost
             // baseline (paper Fig. 12), per cycle and cumulative.
             let cycle = self.stats.cycles;
